@@ -44,6 +44,11 @@ func main() {
 	)
 	flag.Parse()
 
+	if *bench != "" {
+		if err := powermove.CheckWorkload(*bench, *n); err != nil {
+			fail(err)
+		}
+	}
 	if *jsonOut {
 		if err := runJSON(*qasmPath, *bench, *n, *seed, *storage, *aods, *stable, *verify); err != nil {
 			fail(err)

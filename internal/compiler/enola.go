@@ -11,7 +11,6 @@ import (
 
 	"powermove/internal/circuit"
 	"powermove/internal/collsched"
-	"powermove/internal/graphutil"
 	"powermove/internal/isa"
 	"powermove/internal/layout"
 	"powermove/internal/move"
@@ -73,8 +72,9 @@ func Enola(cfg EnolaConfig) (*Pipeline, error) {
 
 // misStagePass schedules the block by iterated maximal-independent-set
 // extraction with randomized restarts — the baseline's
-// quality-over-speed trade-off and the source of its large compile
-// times.
+// quality-over-speed trade-off. Its restart loop draws one random
+// permutation of the block per restart per extracted stage, and those
+// draws are most of the baseline's compile time.
 func misStagePass(restarts int) Pass {
 	return NewPassEffects("mis-stage", ReadsBlock|ReadsConfig|ReadsRNG, func(ctx *Context) error {
 		r := restarts
@@ -145,19 +145,27 @@ func enolaEmitPass() Pass {
 // conflict graph. Each extraction runs the deterministic
 // min-residual-degree greedy plus the configured number of
 // random-permutation restarts and keeps the largest set found.
+//
+// The conflict graph is the line graph of the block's gates (two gates
+// conflict iff they share a qubit), so a restart tests a gate against
+// the set so far by its two qubits' occupancy rather than by scanning
+// its conflict-graph neighbours. All restarts of a block share one
+// scratch, so the restart loop allocates nothing; its cost is the
+// permutation draws, restarts × len(gates) per stage.
 func misStages(gates []circuit.CZ, restarts int, rng *rand.Rand) []stage.Stage {
 	if len(gates) == 0 {
 		return nil
 	}
 	g := stage.ConflictGraph(gates)
+	s := newMISScratch(gates)
 	removed := make([]bool, len(gates))
 	remaining := len(gates)
 	var stages []stage.Stage
 	for remaining > 0 {
 		best := g.MaximalIndependentSet(removed)
 		for r := 0; r < restarts; r++ {
-			if cand := randomMIS(g, removed, rng); len(cand) > len(best) {
-				best = cand
+			if cand := s.randomMIS(removed, rng); len(cand) > len(best) {
+				best = append(best[:0], cand...)
 			}
 		}
 		st := stage.Stage{Gates: make([]circuit.CZ, 0, len(best))}
@@ -171,30 +179,79 @@ func misStages(gates []circuit.CZ, restarts int, rng *rand.Rand) []stage.Stage {
 	return stages
 }
 
+// misScratch is the reusable state of one block's randomized restarts.
+type misScratch struct {
+	gates []circuit.CZ
+	// order receives each restart's random permutation of gate indices.
+	order []int
+	// limit[i] is the largest accepted 31-bit draw for a uniform choice
+	// among i+1 values (see perm).
+	limit []int32
+	// busy marks the qubits of the gates in cand.
+	busy []bool
+	cand []int
+}
+
+func newMISScratch(gates []circuit.CZ) *misScratch {
+	maxQ := 0
+	for _, g := range gates {
+		maxQ = max(maxQ, g.A, g.B)
+	}
+	s := &misScratch{
+		gates: gates,
+		order: make([]int, len(gates)),
+		limit: make([]int32, len(gates)),
+		busy:  make([]bool, maxQ+1),
+	}
+	for i := range s.limit {
+		s.limit[i] = int32((1 << 31) - 1 - (1<<31)%uint32(i+1))
+	}
+	return s
+}
+
+// perm fills s.order with a random permutation, consuming exactly the
+// draws rng.Perm(len(s.order)) consumes and producing the same
+// permutation: the inside-out Fisher–Yates shuffle, with each
+// rng.Intn(i+1) expanded into Int31n's rejection rule over rng.Int31.
+// For a power-of-two bound the threshold is 2^31-1, so nothing is
+// rejected and v%n equals Int31n's mask.
+func (s *misScratch) perm(rng *rand.Rand) {
+	order := s.order
+	for i := range order {
+		n, limit := int32(i+1), s.limit[i]
+		v := rng.Int31()
+		for v > limit {
+			v = rng.Int31()
+		}
+		j := int(v % n)
+		order[i] = order[j]
+		order[j] = i
+	}
+}
+
 // randomMIS builds a maximal independent set by scanning the unremoved
-// vertices in a random order and keeping each vertex compatible with
-// the set so far.
-func randomMIS(g *graphutil.Graph, removed []bool, rng *rand.Rand) []int {
-	order := rng.Perm(g.N())
-	taken := make([]bool, g.N())
-	var mis []int
-	for _, v := range order {
+// gates in a random order and keeping each gate whose qubits are both
+// still free. The returned slice is reused by the next call.
+func (s *misScratch) randomMIS(removed []bool, rng *rand.Rand) []int {
+	for _, v := range s.cand {
+		s.busy[s.gates[v].A] = false
+		s.busy[s.gates[v].B] = false
+	}
+	s.cand = s.cand[:0]
+	s.perm(rng)
+	for _, v := range s.order {
 		if removed[v] {
 			continue
 		}
-		ok := true
-		for _, u := range g.Adjacent(v) {
-			if taken[u] {
-				ok = false
-				break
-			}
+		g := s.gates[v]
+		if s.busy[g.A] || s.busy[g.B] {
+			continue
 		}
-		if ok {
-			taken[v] = true
-			mis = append(mis, v)
-		}
+		s.busy[g.A] = true
+		s.busy[g.B] = true
+		s.cand = append(s.cand, v)
 	}
-	return mis
+	return s.cand
 }
 
 // stageMoves produces the baseline's forward movement for one stage:

@@ -31,9 +31,13 @@ import (
 type Options struct {
 	// Restarts is the number of randomized restarts per
 	// maximal-independent-set extraction. Zero selects the default
-	// instance-scaled effort (see MinRestarts); the original system
-	// runs solver-grade independent-set searches whose cost grows with
-	// the instance, which is the source of its large compilation times.
+	// instance-scaled effort (see MinRestarts), approximating the
+	// original system's solver-grade independent-set searches, whose
+	// cost grows with the instance. Each restart costs one random
+	// permutation of the block, so restarts × gates draws per stage are
+	// most of this reimplementation's compile time; the original's
+	// solver is far slower, which is why the paper's Tcomp gap is wider
+	// than the one reproduced here (docs/ARCHITECTURE.md).
 	Restarts int
 	// Seed drives the randomized restarts.
 	Seed int64

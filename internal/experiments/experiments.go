@@ -15,6 +15,7 @@ import (
 
 	"powermove/internal/arch"
 	"powermove/internal/circuit"
+	"powermove/internal/graphutil"
 	"powermove/internal/pipeline"
 	"powermove/internal/verify"
 	"powermove/internal/workload"
@@ -55,6 +56,31 @@ func (s Spec) seed() int64 {
 		h *= 1099511628211
 	}
 	return h ^ int64(s.Qubits)*2654435761
+}
+
+// Check reports, without generating the circuit, why the instance
+// cannot be generated: an unknown family, fewer than two qubits, or a
+// QAOA-regular size for which no simple regular graph exists.
+func (s Spec) Check() error {
+	degree := 0
+	switch s.Family {
+	case QAOARegular3:
+		degree = 3
+	case QAOARegular4:
+		degree = 4
+	case QAOARandom, QFT, BV, VQE, QSim:
+	default:
+		return fmt.Errorf("unknown workload family %q", s.Family)
+	}
+	if s.Qubits < 2 {
+		return fmt.Errorf("workload qubits = %d; want at least 2", s.Qubits)
+	}
+	if degree > 0 {
+		if err := graphutil.CheckRegular(s.Qubits, degree); err != nil {
+			return fmt.Errorf("%s: %w", s, err)
+		}
+	}
+	return nil
 }
 
 // Circuit instantiates the benchmark circuit.

@@ -43,6 +43,30 @@ func TestSpecCircuits(t *testing.T) {
 	}
 }
 
+// TestSpecCheck: every paper instance passes Check, and Check rejects
+// the instances whose generators would panic.
+func TestSpecCheck(t *testing.T) {
+	specs := Table2Specs()
+	for _, f := range Figure6Families() {
+		for _, n := range Figure6Sizes(f) {
+			specs = append(specs, Spec{Family: f, Qubits: n})
+		}
+	}
+	for _, spec := range specs {
+		if err := spec.Check(); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+	for _, bad := range []Spec{
+		{QAOARegular3, 5}, {QAOARegular3, 31}, {QAOARegular4, 3}, {QAOARegular4, 4},
+		{BV, 1}, {QFT, 0}, {"bogus", 4},
+	} {
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
+	}
+}
+
 func TestSpecDeterministicSeeds(t *testing.T) {
 	s := Spec{Family: QAOARandom, Qubits: 20}
 	a, _ := s.Circuit()

@@ -203,9 +203,10 @@ func (g *Graph) ValidColoring(color []int) bool {
 
 // MaximalIndependentSet returns a maximal independent set of the subgraph
 // induced by the still-unmarked vertices (removed[v] == false), using the
-// classic min-residual-degree greedy rule. The Enola baseline extracts its
-// Rydberg stages by calling this repeatedly, which is the source of its
-// higher compilation cost relative to one-shot coloring.
+// classic min-residual-degree greedy rule. The Enola baseline seeds each
+// of its Rydberg-stage extractions with this set and then tries
+// randomized restarts; the restarts, not this greedy, dominate its
+// compile time.
 func (g *Graph) MaximalIndependentSet(removed []bool) []int {
 	if len(removed) != g.n {
 		panic(fmt.Sprintf("graphutil: removed mask has length %d, want %d", len(removed), g.n))

@@ -9,19 +9,26 @@ import (
 	"math/rand"
 )
 
+// CheckRegular reports whether a simple d-regular graph on n vertices
+// exists: it does iff 0 <= d < n and n*d is even.
+func CheckRegular(n, d int) error {
+	switch {
+	case d < 0:
+		return fmt.Errorf("negative degree %d", d)
+	case d >= n:
+		return fmt.Errorf("no %d-regular graph on %d vertices (degree must be below the vertex count)", d, n)
+	case n*d%2 != 0:
+		return fmt.Errorf("no %d-regular graph on %d vertices (odd degree sum)", d, n)
+	}
+	return nil
+}
+
 // RandomRegular returns a simple d-regular graph on n vertices sampled with
 // the configuration (pairing) model, retrying until the pairing yields no
-// self-loops or parallel edges. It panics if n*d is odd or d >= n, the two
-// cases for which no simple d-regular graph exists.
+// self-loops or parallel edges. It panics if CheckRegular(n, d) fails.
 func RandomRegular(n, d int, rng *rand.Rand) *Graph {
-	if n*d%2 != 0 {
-		panic(fmt.Sprintf("graphutil: no %d-regular graph on %d vertices (odd degree sum)", d, n))
-	}
-	if d >= n {
-		panic(fmt.Sprintf("graphutil: degree %d too large for %d vertices", d, n))
-	}
-	if d < 0 {
-		panic(fmt.Sprintf("graphutil: negative degree %d", d))
+	if err := CheckRegular(n, d); err != nil {
+		panic("graphutil: " + err.Error())
 	}
 	for attempt := 0; ; attempt++ {
 		if g, ok := tryPairing(n, d, rng); ok {

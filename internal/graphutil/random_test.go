@@ -106,3 +106,27 @@ func TestIsRegular(t *testing.T) {
 		t.Error("triangle not reported 2-regular")
 	}
 }
+
+// TestCheckRegular: CheckRegular accepts exactly the sizes that admit a
+// simple d-regular graph, so RandomRegular never panics on a size it
+// accepts.
+func TestCheckRegular(t *testing.T) {
+	cases := []struct {
+		n, d int
+		ok   bool
+	}{
+		{5, 3, false}, {7, 3, false}, {3, 4, false}, {4, 4, false}, {4, -2, false},
+		{2, 1, true}, {4, 3, true}, {6, 3, true}, {5, 4, true}, {9, 4, true}, {3, 0, true},
+	}
+	for _, tc := range cases {
+		err := CheckRegular(tc.n, tc.d)
+		if (err == nil) != tc.ok {
+			t.Errorf("CheckRegular(%d, %d) = %v, want ok=%v", tc.n, tc.d, err, tc.ok)
+		}
+		if tc.ok {
+			if g := RandomRegular(tc.n, tc.d, rand.New(rand.NewSource(1))); !g.IsRegular(tc.d) {
+				t.Errorf("RandomRegular(%d, %d) not regular", tc.n, tc.d)
+			}
+		}
+	}
+}

@@ -571,6 +571,53 @@ func TestDecodeStrictness(t *testing.T) {
 	}
 }
 
+// TestRejectsWorkloadsWithoutCircuit: a QAOA-regular size with no
+// regular graph used to panic the generator on a compile worker and kill
+// the daemon. Validation now rejects it before any work is queued:
+// 400 invalid_request on /v1/compile and /v1/jobs, and a per-item error
+// in a /v1/batch document.
+func TestRejectsWorkloadsWithoutCircuit(t *testing.T) {
+	s, ts := jobsServer(t, Config{Workers: 1, QueueDepth: 4})
+	workloads := []string{
+		`{"family":"QAOA-regular3","qubits":5}`,
+		`{"family":"QAOA-regular3","qubits":7,"seed":3}`,
+		`{"family":"QAOA-regular4","qubits":3}`,
+		`{"family":"QAOA-regular4","qubits":4}`,
+	}
+	for _, w := range workloads {
+		for _, tc := range []struct{ endpoint, body string }{
+			{"/v1/compile", `{"workload":` + w + `}`},
+			{"/v1/jobs", `{"compile":{"workload":` + w + `}}`},
+		} {
+			resp, raw := postJSON(t, ts.URL+tc.endpoint, tc.body)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400: %s", tc.endpoint, tc.body, resp.StatusCode, raw)
+				continue
+			}
+			if code := envelopeCode(t, raw); code != CodeInvalidRequest {
+				t.Errorf("%s %s: code %q, want %q", tc.endpoint, tc.body, code, CodeInvalidRequest)
+			}
+			if !strings.Contains(string(raw), "regular graph") {
+				t.Errorf("%s %s: message does not name the cause: %s", tc.endpoint, tc.body, raw)
+			}
+		}
+		resp, raw := postJSON(t, ts.URL+"/v1/batch", `{"requests":[{"workload":`+w+`}]}`)
+		var doc BatchResponse
+		if err := json.Unmarshal(raw, &doc); err != nil || resp.StatusCode != http.StatusOK || len(doc.Results) != 1 {
+			t.Errorf("/v1/batch %s: status %d, %v: %s", w, resp.StatusCode, err, raw)
+		} else if !strings.Contains(doc.Results[0].Error, "regular graph") {
+			t.Errorf("/v1/batch %s: item error %q does not name the cause", w, doc.Results[0].Error)
+		}
+	}
+	if n := s.Metrics().Compiles; n != 0 {
+		t.Errorf("%d compiles ran for rejected requests", n)
+	}
+	resp, raw := postJSON(t, ts.URL+"/v1/compile", `{"workload":{"family":"QAOA-regular3","qubits":6},"stable":true}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("valid QAOA-regular3-6 after rejections: status %d: %s", resp.StatusCode, raw)
+	}
+}
+
 // TestCatalogAndSuccessorHeaders: GET /v1 describes the surface, and the
 // sync endpoints advertise their async successor via headers.
 func TestCatalogAndSuccessorHeaders(t *testing.T) {

@@ -337,13 +337,12 @@ func (req *CompileRequest) validate() (*compilePlan, error) {
 		qubits = circ.Qubits
 	case req.Workload != nil:
 		w := req.Workload
-		if w.Qubits < 2 {
-			return nil, fmt.Errorf("workload qubits = %d; want at least 2", w.Qubits)
-		}
-		if !knownFamily(experiments.Family(w.Family)) {
-			return nil, fmt.Errorf("unknown workload family %q", w.Family)
-		}
 		spec := experiments.Spec{Family: experiments.Family(w.Family), Qubits: w.Qubits}
+		// Check stays cheap, generating nothing: validation also runs on
+		// requests that will be served from the cache.
+		if err := spec.Check(); err != nil {
+			return nil, err
+		}
 		bench := spec.String()
 		gen := spec.Circuit
 		if w.Seed != nil {
@@ -360,19 +359,6 @@ func (req *CompileRequest) validate() (*compilePlan, error) {
 	job.Key.Verify = req.Verify
 	job.Canon = job.Key.String()
 	return &compilePlan{job: job, canon: job.Canon, qubits: qubits, stable: req.Stable}, nil
-}
-
-// knownFamily reports whether family has a generator, without paying
-// for a circuit: validation must stay cheap because it also runs on
-// requests that will be served from the cache.
-func knownFamily(family experiments.Family) bool {
-	switch family {
-	case experiments.QAOARegular3, experiments.QAOARegular4, experiments.QAOARandom,
-		experiments.QFT, experiments.BV, experiments.VQE, experiments.QSim:
-		return true
-	default:
-		return false
-	}
 }
 
 // seededCircuit generates family with an explicit seed (deterministic

@@ -34,6 +34,7 @@ import (
 	"powermove/internal/compiler"
 	"powermove/internal/core"
 	"powermove/internal/enola"
+	"powermove/internal/experiments"
 	"powermove/internal/isa"
 	"powermove/internal/layout"
 	"powermove/internal/pipeline"
@@ -328,6 +329,16 @@ func ParseQASM(name, src string) (*Circuit, error) {
 func WriteQASM(c *Circuit) string { return qasm.Write(c) }
 
 // Benchmark-circuit generators (Sec. 7.1 of the paper).
+
+// CheckWorkload reports, without generating anything, why the benchmark
+// family (one of QAOA-regular3, QAOA-regular4, QAOA-random, QFT, BV, VQE,
+// QSIM-rand) cannot be generated at the given qubit count: an unknown
+// family, fewer than two qubits, or a QAOA-regular size with no regular
+// graph. The generators below panic on such inputs; the compile service
+// rejects them with the same error.
+func CheckWorkload(family string, qubits int) error {
+	return experiments.Spec{Family: experiments.Family(family), Qubits: qubits}.Check()
+}
 
 // QAOARegular returns a depth-1 QAOA MaxCut circuit on a random d-regular
 // graph with n vertices.
